@@ -148,17 +148,19 @@ impl Simulation {
         }
         let state = &self.peers[peer.as_usize()];
         let categories = state.interests.categories();
+        let candidates = &mut self.request_candidates;
         // Bounded retry across category draws, mirroring the popularity
         // path's attempt budget.
         for _ in 0..16 {
             let category = *self.rng_requests.choose(categories)?;
-            let candidates: Vec<ObjectId> = self
-                .catalog
-                .objects_in_category(category)
-                .iter()
-                .copied()
-                .filter(|o| !state.has_or_wants(*o))
-                .collect();
+            candidates.clear();
+            candidates.extend(
+                self.catalog
+                    .objects_in_category(category)
+                    .iter()
+                    .copied()
+                    .filter(|o| !state.has_or_wants(*o)),
+            );
             if candidates.is_empty() {
                 continue;
             }
@@ -166,7 +168,7 @@ impl Simulation {
             let pick = match strategy {
                 SelectionStrategy::Uniform => self
                     .rng_requests
-                    .choose(&candidates)
+                    .choose(candidates)
                     .copied()
                     .expect("candidates is non-empty"),
                 SelectionStrategy::RarestFirst => candidates

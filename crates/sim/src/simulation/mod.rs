@@ -97,13 +97,7 @@ impl SimSetup {
             let interests = PeerInterests::generate(&catalog, &config.workload, &mut peer_rng);
             let (cap_lo, cap_hi) = config.workload.storage_capacity_objects;
             let capacity = peer_rng.gen_range(cap_lo..=cap_hi) as usize;
-            let storage = Storage::initial_placement(
-                capacity,
-                &catalog,
-                &interests,
-                &config.workload,
-                &mut peer_rng,
-            );
+            let storage = Storage::initial_placement(capacity, &catalog, &interests, &mut peer_rng);
             peers.push(PeerState {
                 id: PeerId::new(index as u32),
                 behavior: *behavior,
@@ -249,6 +243,11 @@ pub struct Simulation {
     /// snapshot additionally survives graph mutations: the dirty-edge drain
     /// advances it, forgetting only the queues that changed.
     scratch: SearchScratch<PeerId, ObjectId>,
+    /// Reused candidate buffer of the non-popularity
+    /// [`SelectionStrategy`](crate::SelectionStrategy) draws, so a request
+    /// attempt allocates nothing.  Scratch only: cleared before every use
+    /// and never serialized.
+    request_candidates: Vec<ObjectId>,
     /// The graph generation up to which the dirty log has been drained
     /// (the `from` side of the scratch's incremental advance).
     drained_generation: u64,
@@ -351,7 +350,8 @@ impl Simulation {
     /// # Panics
     ///
     /// Panics if the configuration fails [`SimConfig::validate`] or the setup
-    /// was generated for a different population size.
+    /// was generated for a different population size or object popularity
+    /// factor (requests sample from the setup catalog's popularity tables).
     #[must_use]
     pub fn from_setup(config: SimConfig, setup: &SimSetup, seed: u64) -> Self {
         config
@@ -361,6 +361,11 @@ impl Simulation {
             setup.num_peers(),
             config.num_peers,
             "setup was generated for a different number of peers"
+        );
+        assert_eq!(
+            setup.catalog.object_popularity_factor().to_bits(),
+            config.workload.object_popularity_factor.to_bits(),
+            "setup was generated for a different object popularity factor"
         );
         let root_rng = DetRng::seed_from(seed);
         let behaviors: Vec<Box<dyn PeerBehavior>> =
@@ -415,7 +420,7 @@ impl Simulation {
         Simulation {
             setup_seed: setup.seed(),
             setup_objects: catalog.num_objects(),
-            request_gen: RequestGenerator::new(&config.workload),
+            request_gen: RequestGenerator::new(),
             rng_requests: root_rng.stream("requests"),
             rng_lookup: root_rng.stream("lookup"),
             rng_storage: root_rng.stream("storage"),
@@ -436,6 +441,7 @@ impl Simulation {
             report,
             ring_cache,
             scratch: SearchScratch::new(),
+            request_candidates: Vec::new(),
             drained_generation: 0,
             holders,
             honest_holders,
@@ -471,6 +477,12 @@ impl Simulation {
     #[must_use]
     pub fn peers(&self) -> &[PeerState] {
         &self.peers
+    }
+
+    /// Read access to the catalog, including any flash-crowd releases so far.
+    #[must_use]
+    pub fn catalog(&self) -> &Catalog {
+        &self.catalog
     }
 
     /// The label of the active upload scheduler.

@@ -10,9 +10,10 @@
 
 use proptest::prelude::*;
 use sim::{
-    BehaviorKind, BehaviorMix, ChurnConfig, ExchangeDiscipline, Protection, SchedulerKind,
-    SimConfig, SimReport, SimTime, Simulation,
+    BehaviorKind, BehaviorMix, ChurnConfig, ExchangeDiscipline, FlashCrowdConfig, Protection,
+    SchedulerKind, SimConfig, SimReport, SimTime, Simulation,
 };
+use workload::CategoryId;
 
 /// One sampled run shape: indexes into the fixed option sets plus the
 /// numeric knobs, kept small enough that 64 cases × 2 runs stay fast.
@@ -180,4 +181,37 @@ fn checkpoint_at_every_event_matches_straight_run_sharded() {
         }
     }
     assert_eq!(straight, chained.run());
+}
+
+/// A checkpoint taken after a flash-crowd release resumes exactly.  Restore
+/// regenerates the setup catalog and replays the release, the only path that
+/// rebuilds a category's popularity normaliser mid-run; with equal category
+/// lengths the release also makes category 0 the longest, so the replay
+/// extends the catalog's shared powers table too.
+#[test]
+fn resume_after_a_flash_crowd_release_is_bit_identical() {
+    let mut config = SimConfig::quick_test();
+    config.num_peers = 24;
+    config.sim_duration_s = 1_500.0;
+    config.warmup_s = 300.0;
+    config.workload.objects_per_category = (6, 6);
+    config.flash_crowd = Some(FlashCrowdConfig {
+        at_s: 400.0,
+        requesters: 10,
+        seed_holders: 2,
+    });
+    for (seed, shards) in [(21, 1), (22, 1), (23, 4)] {
+        config.shards = shards;
+        let straight = Simulation::new(config.clone(), seed).run();
+        let mut live = Simulation::new(config.clone(), seed);
+        live.run_until(SimTime::from_secs_f64(700.0));
+        let first = CategoryId::new(0);
+        assert_eq!(live.catalog().objects_in_category(first).len(), 7);
+
+        let restored = round_trip(&live, &config);
+        assert_eq!(restored.catalog(), live.catalog(), "seed {seed}");
+        let resumed = restored.run();
+        assert_eq!(straight.ring_cache_stats(), resumed.ring_cache_stats());
+        assert_eq!(straight, resumed, "seed {seed}, shards {shards}");
+    }
 }

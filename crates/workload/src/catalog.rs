@@ -3,6 +3,7 @@
 use des::DetRng;
 use serde::{Deserialize, Serialize};
 
+use crate::popularity::{rank_power, scan_ranks};
 use crate::{CategoryId, ObjectId, PowerLawWeights, WorkloadConfig};
 
 /// Metadata of one object in the catalog.
@@ -24,6 +25,11 @@ pub struct ObjectInfo {
 /// the number of objects in each category is uniform in the configured range
 /// and every object gets the configured (fixed) size.
 ///
+/// The catalog also owns the within-category popularity tables the request
+/// and placement draws sample from: one `rank^-f` powers table shared by all
+/// categories (as long as the longest one) plus one normaliser per
+/// category, so a draw costs no allocation and no `powf`.
+///
 /// # Example
 ///
 /// ```
@@ -41,6 +47,15 @@ pub struct Catalog {
     /// For each category, the ids of its objects ordered by popularity rank.
     by_category: Vec<Vec<ObjectId>>,
     category_weights: PowerLawWeights,
+    /// The within-category popularity factor *f* of
+    /// [`WorkloadConfig::object_popularity_factor`].
+    object_popularity_factor: f64,
+    /// `rank^-f` for ranks `1..=` the longest category's length; a category
+    /// of `n` objects uses the first `n` entries.
+    rank_powers: Vec<f64>,
+    /// Per category, the sum of its `rank_powers` prefix folded in rank
+    /// order — the normaliser [`PowerLawWeights::new`] would compute.
+    rank_totals: Vec<f64>,
 }
 
 impl Catalog {
@@ -77,10 +92,20 @@ impl Catalog {
             config.num_categories as usize,
             config.category_popularity_factor,
         );
+        let factor = config.object_popularity_factor;
+        let longest = by_category.iter().map(Vec::len).max().unwrap_or(0);
+        let rank_powers: Vec<f64> = (1..=longest).map(|rank| rank_power(rank, factor)).collect();
+        let rank_totals = by_category
+            .iter()
+            .map(|ids| rank_powers[..ids.len()].iter().sum())
+            .collect();
         Catalog {
             objects,
             by_category,
             category_weights,
+            object_popularity_factor: factor,
+            rank_powers,
+            rank_totals,
         }
     }
 
@@ -134,6 +159,31 @@ impl Catalog {
         &self.category_weights
     }
 
+    /// The within-category object popularity factor *f*.
+    #[must_use]
+    pub fn object_popularity_factor(&self) -> f64 {
+        self.object_popularity_factor
+    }
+
+    /// Samples a popularity rank within `category` given a uniform draw `u`
+    /// in `[0, 1)` (clamped like [`PowerLawWeights::sample_with`]).
+    ///
+    /// Bit-identical to
+    /// `PowerLawWeights::new(n, f).sample_with(u)` for the category's `n`
+    /// objects and the catalog's factor `f`, but reads the catalog's
+    /// precomputed tables instead of building the distribution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the category id is out of range.
+    #[must_use]
+    pub fn sample_rank(&self, category: CategoryId, u: f64) -> usize {
+        let c = category.as_usize();
+        let total = self.rank_totals[c];
+        let raw = &self.rank_powers[..self.by_category[c].len()];
+        scan_ranks(raw.iter().map(|power| power / total), u)
+    }
+
     /// Releases a new object into `category` mid-run (a flash-crowd drop).
     ///
     /// The object is appended as the category's least-popular rank — organic
@@ -154,6 +204,12 @@ impl Catalog {
             size_bytes,
         });
         ids.push(id);
+        let len = ids.len();
+        if len > self.rank_powers.len() {
+            self.rank_powers
+                .push(rank_power(len, self.object_popularity_factor));
+        }
+        self.rank_totals[category.as_usize()] = self.rank_powers[..len].iter().sum();
         id
     }
 

@@ -39,7 +39,7 @@ impl PowerLawWeights {
             factor.is_finite() && factor >= 0.0,
             "popularity factor must be finite and non-negative, got {factor}"
         );
-        let raw: Vec<f64> = (1..=n).map(|rank| (rank as f64).powf(-factor)).collect();
+        let raw: Vec<f64> = (1..=n).map(|rank| rank_power(rank, factor)).collect();
         let total: f64 = raw.iter().sum();
         let weights = raw.into_iter().map(|w| w / total).collect();
         PowerLawWeights { weights, factor }
@@ -85,15 +85,35 @@ impl PowerLawWeights {
     /// deterministic random streams.
     #[must_use]
     pub fn sample_with(&self, u: f64) -> usize {
-        let mut target = u.clamp(0.0, 1.0 - f64::EPSILON);
-        for (rank, w) in self.weights.iter().enumerate() {
-            if target < *w {
-                return rank;
-            }
-            target -= w;
-        }
-        self.weights.len() - 1
+        scan_ranks(self.weights.iter().copied(), u)
     }
+}
+
+/// The unnormalised power-law weight `rank^-f` of one-based `rank`.
+pub(crate) fn rank_power(rank: usize, factor: f64) -> f64 {
+    (rank as f64).powf(-factor)
+}
+
+/// Inverse-CDF scan over normalised `weights` (most popular first) for a
+/// uniform draw `u`: clamps `u` into `[0, 1)`, then walks the ranks
+/// subtracting each weight until the remainder falls below the current
+/// one.  Rounding can leave a remainder past the last weight; that draw
+/// lands on the last rank.  `weights` must not be empty.
+///
+/// Both [`PowerLawWeights::sample_with`] and
+/// [`Catalog::sample_rank`](crate::Catalog::sample_rank) sample through
+/// this one loop, which is what keeps the catalog's table draws
+/// bit-identical to a freshly built distribution.
+pub(crate) fn scan_ranks(weights: impl ExactSizeIterator<Item = f64>, u: f64) -> usize {
+    let last = weights.len() - 1;
+    let mut target = u.clamp(0.0, 1.0 - f64::EPSILON);
+    for (rank, w) in weights.enumerate() {
+        if target < w {
+            return rank;
+        }
+        target -= w;
+    }
+    last
 }
 
 #[cfg(test)]

@@ -3,13 +3,14 @@
 use des::DetRng;
 use serde::{Deserialize, Serialize};
 
-use crate::{Catalog, ObjectId, PeerInterests, PowerLawWeights, WorkloadConfig};
+use crate::{Catalog, ObjectId, PeerInterests};
 
 /// Generates download requests for peers.
 ///
 /// A request is generated by picking a category from the peer's local
 /// preference distribution and then an object within that category according
-/// to the within-category power-law popularity.  Candidate objects the caller
+/// to the within-category power-law popularity, sampled from the catalog's
+/// popularity tables ([`Catalog::sample_rank`]).  Candidate objects the caller
 /// rejects (already stored or already being downloaded — the paper's "cache
 /// hits") are skipped and the draw is retried, up to a bounded number of
 /// attempts.
@@ -24,24 +25,28 @@ use crate::{Catalog, ObjectId, PeerInterests, PowerLawWeights, WorkloadConfig};
 /// let mut rng = DetRng::seed_from(2);
 /// let catalog = Catalog::generate(&config, &mut rng);
 /// let interests = PeerInterests::generate(&catalog, &config, &mut rng);
-/// let generator = RequestGenerator::new(&config);
+/// let generator = RequestGenerator::new();
 /// let pick = generator.next_request(&catalog, &interests, &mut rng, |_| false);
 /// assert!(pick.is_some());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RequestGenerator {
-    object_popularity_factor: f64,
     max_attempts: usize,
 }
 
+impl Default for RequestGenerator {
+    fn default() -> Self {
+        RequestGenerator { max_attempts: 64 }
+    }
+}
+
 impl RequestGenerator {
-    /// Creates a generator using the object popularity factor of `config`.
+    /// Creates a generator with the default budget of 64 draws per request.
+    /// The object popularity factor is the catalog's
+    /// ([`Catalog::object_popularity_factor`]).
     #[must_use]
-    pub fn new(config: &WorkloadConfig) -> Self {
-        RequestGenerator {
-            object_popularity_factor: config.object_popularity_factor,
-            max_attempts: 64,
-        }
+    pub fn new() -> Self {
+        RequestGenerator::default()
     }
 
     /// Overrides the number of redraws attempted before giving up when every
@@ -50,12 +55,6 @@ impl RequestGenerator {
     pub fn with_max_attempts(mut self, attempts: usize) -> Self {
         self.max_attempts = attempts.max(1);
         self
-    }
-
-    /// The object popularity factor in use.
-    #[must_use]
-    pub fn object_popularity_factor(&self) -> f64 {
-        self.object_popularity_factor
     }
 
     /// Draws the next object this peer should request.
@@ -80,9 +79,7 @@ impl RequestGenerator {
             if objects.is_empty() {
                 continue;
             }
-            let weights = PowerLawWeights::new(objects.len(), self.object_popularity_factor);
-            let rank = weights.sample_with(rng.gen_unit());
-            let candidate = objects[rank];
+            let candidate = objects[catalog.sample_rank(category, rng.gen_unit())];
             if !reject(candidate) {
                 return Some(candidate);
             }
@@ -94,6 +91,7 @@ impl RequestGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WorkloadConfig;
     use std::collections::HashSet;
 
     fn setup(seed: u64) -> (Catalog, PeerInterests, RequestGenerator, DetRng) {
@@ -101,7 +99,7 @@ mod tests {
         let mut rng = DetRng::seed_from(seed);
         let catalog = Catalog::generate(&config, &mut rng);
         let interests = PeerInterests::generate(&catalog, &config, &mut rng);
-        let generator = RequestGenerator::new(&config);
+        let generator = RequestGenerator::new();
         (catalog, interests, generator, rng)
     }
 
@@ -150,7 +148,7 @@ mod tests {
         let mut rng = DetRng::seed_from(24);
         let catalog = Catalog::generate(&config, &mut rng);
         let interests = PeerInterests::generate(&catalog, &config, &mut rng);
-        let generator = RequestGenerator::new(&config);
+        let generator = RequestGenerator::new();
         let category = interests.categories()[0];
         let most_popular = catalog.objects_in_category(category)[0];
         let least_popular = *catalog.objects_in_category(category).last().unwrap();

@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 use des::DetRng;
 use serde::{Deserialize, Serialize};
 
-use crate::{Catalog, ObjectId, PeerInterests, PowerLawWeights, WorkloadConfig};
+use crate::{Catalog, ObjectId, PeerInterests};
 
 /// The set of objects a peer currently stores.
 ///
@@ -48,13 +48,13 @@ impl Storage {
 
     /// Populates an initial store according to the peer's category interests,
     /// as the paper does at simulation start: objects from the peer's
-    /// categories, biased towards popular ones, up to capacity.
+    /// categories, biased towards popular ones (the catalog's
+    /// within-category popularity, [`Catalog::sample_rank`]), up to capacity.
     #[must_use]
     pub fn initial_placement(
         capacity: usize,
         catalog: &Catalog,
         interests: &PeerInterests,
-        config: &WorkloadConfig,
         rng: &mut DetRng,
     ) -> Self {
         let mut storage = Storage::new(capacity);
@@ -70,9 +70,7 @@ impl Storage {
             if objects.is_empty() {
                 continue;
             }
-            let weights = PowerLawWeights::new(objects.len(), config.object_popularity_factor);
-            let rank = weights.sample_with(rng.gen_unit());
-            storage.insert(objects[rank]);
+            storage.insert(objects[catalog.sample_rank(category, rng.gen_unit())]);
         }
         storage
     }
@@ -156,6 +154,7 @@ impl Storage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WorkloadConfig;
 
     #[test]
     fn insert_remove_contains() {
@@ -210,7 +209,7 @@ mod tests {
         let mut rng = DetRng::seed_from(8);
         let catalog = Catalog::generate(&config, &mut rng);
         let interests = PeerInterests::generate(&catalog, &config, &mut rng);
-        let storage = Storage::initial_placement(8, &catalog, &interests, &config, &mut rng);
+        let storage = Storage::initial_placement(8, &catalog, &interests, &mut rng);
         assert!(storage.len() <= 8);
         assert!(!storage.is_empty());
         for obj in storage.iter() {
@@ -224,7 +223,7 @@ mod tests {
         let mut rng = DetRng::seed_from(9);
         let catalog = Catalog::generate(&config, &mut rng);
         let interests = PeerInterests::generate(&catalog, &config, &mut rng);
-        let storage = Storage::initial_placement(0, &catalog, &interests, &config, &mut rng);
+        let storage = Storage::initial_placement(0, &catalog, &interests, &mut rng);
         assert!(storage.is_empty());
     }
 
