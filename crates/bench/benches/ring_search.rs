@@ -70,7 +70,7 @@ fn random_typed_graph(peers: u32, edges: usize, seed: u64) -> RequestGraph<PeerI
             ObjectId::new(object),
         );
     }
-    graph.take_dirty();
+    graph.take_dirty_edges();
     graph
 }
 
@@ -84,6 +84,7 @@ fn bench_cached_vs_fresh(c: &mut Criterion) {
     const ROUNDS: usize = 200;
     const QUERIES_PER_ROUND: usize = 3;
     const DELTA_EVERY: usize = 8;
+    const FANOUT: usize = 16;
 
     let base = random_typed_graph(PEERS, EDGES, 7);
     let wants: Vec<Vec<ObjectId>> = (0..PEERS)
@@ -110,7 +111,7 @@ fn bench_cached_vs_fresh(c: &mut Criterion) {
         .collect();
     let search = RingSearch::new(SearchPolicy::new(5, RingPreference::ShorterFirst))
         .with_expansion_budget(6_000)
-        .with_fanout(16);
+        .with_fanout(FANOUT);
 
     let mut group = c.benchmark_group("ring_search_rounds");
     group.sample_size(10);
@@ -150,7 +151,8 @@ fn bench_cached_vs_fresh(c: &mut Criterion) {
                 let provider = PeerId::new((round as u32 * 7) % PEERS);
                 let want = &wants[provider.as_usize()];
                 for _ in 0..QUERIES_PER_ROUND {
-                    cache.apply_graph_deltas(&mut graph);
+                    // The oracle ignores edges: no claim is edge-backed.
+                    cache.apply_graph_deltas(&mut graph, FANOUT, false);
                     if let Some(rings) = cache.lookup(provider, want) {
                         total += rings.len();
                     } else {

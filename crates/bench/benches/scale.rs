@@ -5,24 +5,20 @@
 //! flash crowd, and a heterogeneous capacity-class mix) so the cost of the
 //! departure/rejoin teardown machinery is tracked by the regression gate.
 //!
-//! Each tier runs the same seeded workload in up to three modes:
+//! Each tier runs the same seeded workload in up to two modes:
 //!
-//! * **provider-cold** — ring-cache invalidation at provider granularity
-//!   and a cold `Simulation::new` per seed (skipped at the 100k tier, where
-//!   the provider-granularity engine is pointlessly slow);
-//! * **entry-warm** — entry-level invalidation plus a shared [`SimSetup`]
+//! * **entry-warm** — the ring-candidate cache plus a shared [`SimSetup`]
 //!   across seeds (warm restarts);
 //! * **entry-warm-sharded** — entry-warm with `SimConfig::shards` set from
 //!   `--shards N` (only when N > 1).  The bench asserts the sharded report
 //!   is **bit-identical** to entry-warm on the shared seed — the nightly CI
 //!   workflow runs exactly this assertion at the 10k tier.
 //!
-//! `speedup` compares provider-cold to entry-warm (what cache granularity +
-//! warm restarts buy); `speedup_sharded` compares entry-warm to the sharded
-//! mode (what the scoped worker pool buys — meaningful only on multi-core
-//! hosts, so the JSON also records `host_parallelism`); `speedup_vs_pr3`
-//! compares entry-warm against an externally measured PR-3-engine run
-//! passed in via `--baseline <tier>=<secs>`.
+//! `speedup_sharded` compares entry-warm to the sharded mode (what the
+//! worker pool buys — meaningful only on multi-core hosts, so the JSON also
+//! records `host_parallelism`); `speedup_vs_pr3` compares entry-warm
+//! against an externally measured PR-3-engine run passed in via
+//! `--baseline <tier>=<secs>`.
 //!
 //! Usage (a bare `cargo bench` only smoke-compiles; the tiers are explicit):
 //!
@@ -53,7 +49,7 @@
 //! cached-search dependency footprints population-independent.
 //!
 //! **Checkpoint mode** (kill-and-resume drills): `--checkpoint-every <secs>
-//! --checkpoint-path <file>` runs one entry-granularity simulation of the
+//! --checkpoint-path <file>` runs one cached simulation of the
 //! selected tier (first seed, `--shards` honoured), writing its latest
 //! snapshot to `<file>` every interval — atomically, via a temp file and
 //! rename, so a `SIGKILL` mid-write still leaves a complete checkpoint —
@@ -69,8 +65,8 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use sim::{
-    CacheGranularity, CapacityClass, CatastropheConfig, ChurnConfig, ClassMix, FlashCrowdConfig,
-    PhaseProfile, SimConfig, SimReport, SimSetup, Simulation,
+    CapacityClass, CatastropheConfig, ChurnConfig, ClassMix, FlashCrowdConfig, PhaseProfile,
+    SimConfig, SimReport, SimSetup, Simulation,
 };
 
 /// One measured run: its report plus every timing component.
@@ -82,7 +78,7 @@ struct RunMeasurement {
     report: SimReport,
 }
 
-/// One mode (cache granularity × restart strategy × shards) over all seeds.
+/// One mode (sequential or sharded) over all seeds.
 struct ModeMeasurement {
     name: &'static str,
     runs: Vec<RunMeasurement>,
@@ -117,14 +113,6 @@ impl TierMeasurement {
         } else {
             f64::INFINITY
         }
-    }
-
-    /// Entry-warm over provider-cold (cache granularity + warm restarts).
-    fn speedup(&self) -> Option<f64> {
-        Some(Self::ratio(
-            self.mode("provider-cold")?,
-            self.mode("entry-warm")?,
-        ))
     }
 
     /// Sharded entry-warm over sequential entry-warm.
@@ -197,17 +185,9 @@ fn population_config(config: &mut SimConfig, options: TierOptions) {
     ]);
 }
 
-fn measure_run(
-    name: &str,
-    config: &SimConfig,
-    setup: Option<&SimSetup>,
-    seed: u64,
-) -> RunMeasurement {
+fn measure_run(name: &str, config: &SimConfig, setup: &SimSetup, seed: u64) -> RunMeasurement {
     let started = Instant::now();
-    let simulation = match setup {
-        Some(shared) => Simulation::from_setup(config.clone(), shared, seed),
-        None => Simulation::new(config.clone(), seed),
-    };
+    let simulation = Simulation::from_setup(config.clone(), setup, seed);
     let setup_time = started.elapsed();
     let started = Instant::now();
     let (report, profile) = simulation.run_profiled();
@@ -247,34 +227,16 @@ fn run_tier(
     if population {
         population_config(&mut config, options);
     }
-    // The 100k tier runs one seed and skips the provider-cold mode: at 10⁵
-    // peers the provider-granularity engine adds tens of minutes without
-    // telling us anything the 10k tier did not.
-    let heavy = peers >= 100_000;
-    let seeds: Vec<u64> = if heavy {
+    // The 100k tier runs one seed.
+    let seeds: Vec<u64> = if peers >= 100_000 {
         vec![seeds[0]]
     } else {
         seeds.to_vec()
     };
     eprintln!("== tier {label}: {peers} peers, {} seeds ==", seeds.len());
 
-    let mut modes = Vec::new();
-    if !heavy {
-        let mut provider_config = config.clone();
-        provider_config.ring_cache_granularity = CacheGranularity::Provider;
-        modes.push(ModeMeasurement {
-            name: "provider-cold",
-            runs: seeds
-                .iter()
-                .map(|&seed| measure_run("provider-cold", &provider_config, None, seed))
-                .collect(),
-        });
-    }
-
-    let mut entry_config = config.clone();
-    entry_config.ring_cache_granularity = CacheGranularity::Entry;
     let started = Instant::now();
-    let shared_setup = SimSetup::generate(&entry_config, seeds[0]);
+    let shared_setup = SimSetup::generate(&config, seeds[0]);
     let shared_setup_time = started.elapsed();
     let entry_runs: Vec<RunMeasurement> = seeds
         .iter()
@@ -282,31 +244,24 @@ fn run_tier(
         .map(|(index, &seed)| {
             // The shared setup is generated once; only the first seed's row
             // carries its cost.
-            let mut run = measure_run("entry-warm", &entry_config, Some(&shared_setup), seed);
+            let mut run = measure_run("entry-warm", &config, &shared_setup, seed);
             if index == 0 {
                 run.setup += shared_setup_time;
             }
             run
         })
         .collect();
-    modes.push(ModeMeasurement {
+    let mut modes = vec![ModeMeasurement {
         name: "entry-warm",
         runs: entry_runs,
-    });
+    }];
 
     if options.shards > 1 {
-        let mut sharded_config = entry_config.clone();
+        let mut sharded_config = config.clone();
         sharded_config.shards = options.shards;
         let runs: Vec<RunMeasurement> = seeds
             .iter()
-            .map(|&seed| {
-                measure_run(
-                    "entry-warm-sharded",
-                    &sharded_config,
-                    Some(&shared_setup),
-                    seed,
-                )
-            })
+            .map(|&seed| measure_run("entry-warm-sharded", &sharded_config, &shared_setup, seed))
             .collect();
         modes.push(ModeMeasurement {
             name: "entry-warm-sharded",
@@ -322,25 +277,9 @@ fn run_tier(
         baseline_pr3_s: None,
     };
 
-    // Exactness guards: on the shared setup seed every mode simulates the
-    // identical system, so all reports must agree bit for bit.
+    // Exactness guard: on the shared setup seed both modes simulate the
+    // identical system, so their reports must agree bit for bit.
     let entry = &tier.mode("entry-warm").expect("always measured").runs[0];
-    if let Some(provider) = tier.mode("provider-cold") {
-        assert_eq!(
-            (
-                provider.runs[0].report.completed_downloads(),
-                provider.runs[0].report.total_sessions(),
-                provider.runs[0].report.total_rings()
-            ),
-            (
-                entry.report.completed_downloads(),
-                entry.report.total_sessions(),
-                entry.report.total_rings()
-            ),
-            "tier {label}: granularities diverged on the shared seed — the \
-             cache or warm restart is no longer exact"
-        );
-    }
     if let Some(sharded) = tier.mode("entry-warm-sharded") {
         assert_eq!(
             fingerprint(&sharded.runs[0].report),
@@ -364,9 +303,6 @@ fn run_tier(
         );
     }
 
-    if let Some(speedup) = tier.speedup() {
-        eprintln!("   speedup (entry-warm over provider-cold): {speedup:.2}x");
-    }
     if let Some(speedup) = tier.speedup_sharded() {
         eprintln!(
             "   speedup (shards={} over sequential): {speedup:.2}x",
@@ -394,7 +330,7 @@ fn fingerprint_json(label: &str, config: &SimConfig, seed: u64, report: &SimRepo
     )
 }
 
-/// Checkpoint/resume mode: one entry-granularity run of the selected tier
+/// Checkpoint/resume mode: one cached run of the selected tier
 /// on the first seed. `--checkpoint-every <secs> --checkpoint-path <file>`
 /// writes the latest snapshot every interval (atomic temp-file + rename);
 /// `--resume-from <file>` restores an existing snapshot and runs to the
@@ -415,7 +351,6 @@ fn run_checkpoint_mode(
     if population {
         population_config(&mut config, options);
     }
-    config.ring_cache_granularity = CacheGranularity::Entry;
     config.shards = options.shards;
     config.checkpoint_every_s = checkpoint.map(|(every, _)| every);
 
@@ -549,9 +484,6 @@ fn to_json(tiers: &[TierMeasurement], seeds: usize, shards: usize, calibration: 
             let _ = write!(out, "]}}");
         }
         let _ = write!(out, "]");
-        if let Some(speedup) = tier.speedup() {
-            let _ = write!(out, ",\"speedup\":{speedup:.3}");
-        }
         if let Some(speedup) = tier.speedup_sharded() {
             let _ = write!(out, ",\"speedup_sharded\":{speedup:.3}");
         }

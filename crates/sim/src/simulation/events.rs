@@ -314,7 +314,7 @@ impl Simulation {
         // these objects (entries that never probed them survive).
         for object in &evicted {
             self.index_holding_lost(peer, *object);
-            self.ring_cache.invalidate_holding(peer, *object);
+            self.ring_cache.invalidate_claims(peer, *object);
         }
         for object in evicted {
             let stale: Vec<PeerId> = self

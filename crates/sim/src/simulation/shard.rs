@@ -32,8 +32,8 @@
 //!    anything stale falls back to inline recomputation.  Worker completion
 //!    order is irrelevant: workers never touch shared mutable state.
 //!
-//! The result is bit-identical to the sequential engine at every cache
-//! granularity, behavior mix and protection — `tests/sharded_equivalence.rs`,
+//! The result is bit-identical to the sequential engine with the cache on or
+//! off and under every behavior mix and protection — `tests/sharded_equivalence.rs`,
 //! `tests/shard_pool.rs` and the `audit` feature prove it — while the
 //! searches, the dominant cost, run on all shards, the planned searches are
 //! exactly the ones the sequential engine would run (sharded `ring_searches`
@@ -315,8 +315,8 @@ impl Simulation {
     /// pool (created lazily on the first batch that reaches it).
     ///
     /// Returns `None` (fall back to fully sequential handling) for batches
-    /// too small to amortise the barrier
-    /// ([`SimConfig::shard_min_batch`](crate::SimConfig::shard_min_batch)).
+    /// too small to amortise the barrier: fewer distinct plannable providers
+    /// than `max(shards, 2)`.
     /// Before planning, the graph dirty log is drained iff the first
     /// scheduling attempt of the batch would drain it — between the two
     /// possible drain points no cache operation can occur, so invalidation
@@ -338,11 +338,7 @@ impl Simulation {
             }
             tasks.push((provider, self.peer(provider).wanted_objects()));
         }
-        let min_batch = match self.config.shard_min_batch {
-            0 => self.config.shards.max(2),
-            floor => floor.max(2),
-        };
-        if tasks.len() < min_batch {
+        if tasks.len() < self.config.shards.max(2) {
             return None;
         }
 

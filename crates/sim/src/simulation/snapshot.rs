@@ -72,7 +72,7 @@ use crate::{
 };
 
 use super::events::Event;
-use super::ring_cache::{CacheGranularity, RingCacheStats};
+use super::ring_cache::RingCacheStats;
 use super::transfers::{ActiveRing, ActiveTransfer};
 use super::{RingId, SimSetup, Simulation, TransferId};
 
@@ -288,11 +288,19 @@ fn behavior_kind_tag(kind: BehaviorKind) -> u8 {
     }
 }
 
-fn granularity_tag(granularity: CacheGranularity) -> u8 {
-    match granularity {
-        CacheGranularity::Provider => 0,
-        CacheGranularity::Entry => 1,
-    }
+/// The ring-cache section's leading invalidation-engine tag.  Format v1
+/// reserved `0` for a since-removed coarser engine; the entry-level engine
+/// is the only one, so its tag is written as a constant and anything else
+/// is rejected on restore.
+const RING_CACHE_ENGINE_TAG: u8 = 1;
+
+/// The peer view of a dirty-edge log, as format v1 stores it next to the
+/// log: both endpoints of every changed edge, sorted and deduplicated.
+fn dirty_endpoints(edges: &BTreeSet<(PeerId, PeerId, ObjectId)>) -> BTreeSet<PeerId> {
+    edges
+        .iter()
+        .flat_map(|&(provider, requester, _)| [provider, requester])
+        .collect()
 }
 
 // ---- decoding helpers ------------------------------------------------------
@@ -493,14 +501,6 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn granularity(&mut self) -> Result<CacheGranularity, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(CacheGranularity::Provider),
-            1 => Ok(CacheGranularity::Entry),
-            t => Err(corrupt(format!("unknown cache-granularity tag {t}"))),
-        }
-    }
-
     /// Asserts the payload was consumed exactly.
     fn done(&self) -> Result<(), SnapshotError> {
         if self.remaining() != 0 {
@@ -641,9 +641,10 @@ impl Simulation {
             put_object(&mut buf, request.object);
         }
         put_u64(&mut buf, self.graph.generation());
-        put_usize(&mut buf, self.graph.dirty_peers().len());
-        for peer in self.graph.dirty_peers() {
-            put_peer(&mut buf, *peer);
+        let endpoints = dirty_endpoints(self.graph.dirty_edge_log());
+        put_usize(&mut buf, endpoints.len());
+        for peer in endpoints {
+            put_peer(&mut buf, peer);
         }
         put_usize(&mut buf, self.graph.dirty_edge_log().len());
         for (provider, requester, object) in self.graph.dirty_edge_log() {
@@ -787,9 +788,9 @@ impl Simulation {
         }
         write_section(writer, TAG_POPULATION, &buf)?;
 
-        // Ring-candidate cache: granularity, counters, entries (sorted roots).
+        // Ring-candidate cache: engine tag, counters, entries (sorted roots).
         buf.clear();
-        put_u8(&mut buf, granularity_tag(self.ring_cache.granularity()));
+        put_u8(&mut buf, RING_CACHE_ENGINE_TAG);
         let stats = self.ring_cache.stats();
         put_u64(&mut buf, stats.hits);
         put_u64(&mut buf, stats.misses);
@@ -899,7 +900,7 @@ impl Simulation {
     /// Returns an error — never panics — when the reader fails, the input is
     /// not a snapshot, was written by a different format version, is
     /// truncated, or is internally inconsistent (including a `config` that
-    /// does not match the snapshot's population or cache granularity).
+    /// does not match the snapshot's population).
     pub fn restore<R: Read>(
         reader: &mut R,
         config: &SimConfig,
@@ -1049,9 +1050,9 @@ impl Simulation {
         }
         let generation = sec.u64()?;
         let dirty_len = sec.seq_len(4)?;
-        let mut dirty = BTreeSet::new();
+        let mut endpoints = Vec::with_capacity(dirty_len);
         for _ in 0..dirty_len {
-            dirty.insert(sec.peer(num_peers)?);
+            endpoints.push(sec.peer(num_peers)?);
         }
         let dirty_edges_len = sec.seq_len(12)?;
         let mut dirty_edges = BTreeSet::new();
@@ -1061,7 +1062,12 @@ impl Simulation {
             let object = sec.object(num_objects)?;
             dirty_edges.insert((provider, requester, object));
         }
-        sim.graph = RequestGraph::from_parts(edges, generation, dirty, dirty_edges);
+        if !endpoints.iter().eq(dirty_endpoints(&dirty_edges).iter()) {
+            return Err(corrupt(
+                "dirty-peer log is not the endpoint set of the dirty-edge log",
+            ));
+        }
+        sim.graph = RequestGraph::from_parts(edges, generation, dirty_edges);
         sim.drained_generation = sec.u64()?;
         sec.done()?;
 
@@ -1303,11 +1309,9 @@ impl Simulation {
         // Ring-candidate cache: replay the stores (which never touch the
         // counters), then reinstate the captured counters.
         let mut sec = read_section(&mut cur, TAG_RING_CACHE)?;
-        let granularity = sec.granularity()?;
-        if granularity != sim.ring_cache.granularity() {
-            return Err(corrupt(
-                "snapshot cache granularity does not match the config",
-            ));
+        match sec.u8()? {
+            RING_CACHE_ENGINE_TAG => {}
+            t => return Err(corrupt(format!("unknown ring-cache engine tag {t}"))),
         }
         let stats = RingCacheStats {
             hits: sec.u64()?,
@@ -1565,6 +1569,65 @@ mod tests {
             Ok(_) => panic!("population mismatch must fail"),
             Err(e) => e,
         };
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+    }
+
+    /// Byte offset of the payload of the section tagged `tag`.
+    fn section_payload(bytes: &[u8], tag: u8) -> usize {
+        // Header: magic, version, setup seed, peer count.
+        let mut at = 8 + 4 + 8 + 8;
+        loop {
+            let len = u64::from_le_bytes(bytes[at + 1..at + 9].try_into().expect("8 bytes"));
+            if bytes[at] == tag {
+                return at + 9;
+            }
+            at += 9 + len as usize;
+        }
+    }
+
+    fn restore_err(bytes: &[u8], config: &SimConfig) -> SnapshotError {
+        match Simulation::restore(&mut &bytes[..], config) {
+            Ok(_) => panic!("corrupted snapshot must fail"),
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn unknown_ring_cache_engine_tags_are_rejected() {
+        let sim = quick_sim();
+        let config = sim.config().clone();
+        let bytes = snapshot_of(&sim);
+        let at = section_payload(&bytes, TAG_RING_CACHE);
+        assert_eq!(bytes[at], RING_CACHE_ENGINE_TAG);
+        // 0 was the removed coarse engine's tag; 2 was never assigned.
+        for tag in [0, 2] {
+            let mut corrupted = bytes.clone();
+            corrupted[at] = tag;
+            let err = restore_err(&corrupted, &config);
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "tag {tag}: {err}");
+        }
+    }
+
+    #[test]
+    fn dirty_peer_sections_that_disagree_with_the_dirty_edge_log_are_rejected() {
+        let mut sim = quick_sim();
+        // One undrained edge: peer 0 asked peer 1 for object 0, so the
+        // dirty-peer section must read exactly [0, 1].
+        sim.graph
+            .add_request(PeerId::new(0), PeerId::new(1), ObjectId::new(0));
+        let config = sim.config().clone();
+        let bytes = snapshot_of(&sim);
+        assert!(Simulation::restore(&mut bytes.as_slice(), &config).is_ok());
+        let at = section_payload(&bytes, TAG_GRAPH);
+        let edges = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes")) as usize;
+        // Skip the edge count, the edges and the generation.
+        let dirty = at + 8 + 12 * edges + 8;
+        assert_eq!(bytes[dirty..dirty + 8], 2u64.to_le_bytes());
+        let second_peer = dirty + 8 + 4;
+        assert_eq!(bytes[second_peer..second_peer + 4], 1u32.to_le_bytes());
+        let mut corrupted = bytes.clone();
+        corrupted[second_peer..second_peer + 4].copy_from_slice(&2u32.to_le_bytes());
+        let err = restore_err(&corrupted, &config);
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
     }
 

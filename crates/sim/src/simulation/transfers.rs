@@ -336,7 +336,7 @@ impl Simulation {
             self.peer_mut(downloader).storage.insert(object);
             self.world_epoch += 1;
             self.index_holding_gained(downloader, object);
-            self.ring_cache.invalidate_holding(downloader, object);
+            self.ring_cache.invalidate_claims(downloader, object);
             // Storage only grows past capacity here: materialise a
             // maintenance event at the peer's next wheel boundary if needed.
             self.schedule_maintenance_if_over_capacity(downloader);

@@ -1,14 +1,14 @@
 //! Sharded scheduling must be invisible in the results: for every shard
-//! count, cache granularity, behavior mix, protection and scheduler, a
+//! count, cache setting, behavior mix, protection and scheduler, a
 //! sharded run's report — ring-cache hit/miss/invalidation counters
 //! included — is bit-identical to the sequential engine on the same seed.
 //! The shards knob buys wall-clock on multi-core hosts, never accuracy.
 
 use p2p_exchange::exchange::ExchangePolicy;
 use p2p_exchange::sim::{
-    BehaviorKind, BehaviorMix, CacheGranularity, CapacityClass, CatastropheConfig, ChurnConfig,
-    ClassMix, FlashCrowdConfig, PeerClass, Protection, SchedulerKind, SessionKind, SimConfig,
-    SimReport, Simulation,
+    BehaviorKind, BehaviorMix, CapacityClass, CatastropheConfig, ChurnConfig, ClassMix,
+    FlashCrowdConfig, PeerClass, Protection, SchedulerKind, SessionKind, SimConfig, SimReport,
+    Simulation,
 };
 
 /// An exhaustive comparable fingerprint of one run, down to the cache
@@ -72,22 +72,14 @@ fn sharded_runs_are_bit_identical_across_shard_counts() {
 }
 
 #[test]
-fn sharded_equivalence_holds_at_every_cache_granularity_and_uncached() {
-    for granularity in [CacheGranularity::Provider, CacheGranularity::Entry] {
-        let mut config = busy_config();
-        config.ring_cache_granularity = granularity;
-        let sequential = run_with_shards(config.clone(), 1, 5);
-        let sharded = run_with_shards(config, 4, 5);
-        assert_eq!(
-            fingerprint(&sharded),
-            fingerprint(&sequential),
-            "{granularity:?}"
-        );
-        assert!(
-            sharded.ring_cache_stats().hits > 0,
-            "{granularity:?}: the sharded run must actually exercise the cache"
-        );
-    }
+fn sharded_equivalence_holds_cached_and_uncached() {
+    let sequential = run_with_shards(busy_config(), 1, 5);
+    let sharded = run_with_shards(busy_config(), 4, 5);
+    assert_eq!(fingerprint(&sharded), fingerprint(&sequential), "cached");
+    assert!(
+        sharded.ring_cache_stats().hits > 0,
+        "the sharded run must actually exercise the cache"
+    );
     let mut config = busy_config();
     config.ring_candidate_cache = false;
     let sequential = run_with_shards(config.clone(), 1, 5);
